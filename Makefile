@@ -21,12 +21,14 @@ race:
 cover:
 	$(GO) test -cover ./...
 
-# Fuzz the LFT block-diff and the migration swap primitive (10s each; Go
-# allows one fuzz target per invocation).
+# Fuzz the LFT block-diff, the migration swap primitive, the incremental
+# routing delta and the dense CDG builders against their map-keyed
+# reference (10s each; Go allows one fuzz target per invocation).
 fuzz:
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTDiff$$' -fuzztime 10s
 	$(GO) test ./internal/ib -run '^$$' -fuzz '^FuzzLFTSwap$$' -fuzztime 10s
 	$(GO) test ./internal/routing -run '^$$' -fuzz '^FuzzDeltaRecompute$$' -fuzztime 10s
+	$(GO) test ./internal/cdg -run '^$$' -fuzz '^FuzzSwitchCDG$$' -fuzztime 10s
 
 # The benchmark-regression harness: the Fig. 7 path-computation and Table I
 # SMP benchmarks, teed into BENCH_fig7.json (the artifact CI uploads and the

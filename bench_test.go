@@ -15,8 +15,10 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
+	"ibvsim/internal/audit"
 	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/core"
@@ -654,6 +656,107 @@ func BenchmarkIncrementalReroute(b *testing.B) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// flappedCloud boots the daemon's fabric preset (paper fat tree, minhop,
+// prepopulated LIDs, 2 VFs per hypervisor, incremental routing), takes one
+// trunk link down and reroutes, capturing the programmed (old) and target
+// (new) tables the transient-CDG monitor sees at the distribution fan-out.
+// It returns the cloud, both table sets and the destination LIDs.
+func flappedCloud(b *testing.B, nodes int) (*cloud.Cloud, map[topology.NodeID]*ib.LFT, map[topology.NodeID]*ib.LFT, []ib.LID) {
+	b.Helper()
+	topo, err := topology.BuildPaperFatTree(nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := routing.New("minhop")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cas := topo.CAs()
+	c, _, err := cloud.New(topo, cas[0], cas[1:], cloud.Config{
+		Model:            sriov.VSwitchPrepopulated,
+		VFsPerHypervisor: 2,
+		Engine:           eng,
+		Scheduler:        cloud.Spread{},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.SM.IncrementalRouting = true
+	prepLinkFlap(b, topo)(0)
+	if _, err := c.SM.Resweep(); err != nil {
+		b.Fatal(err)
+	}
+	clone := func(m map[topology.NodeID]*ib.LFT) map[topology.NodeID]*ib.LFT {
+		out := make(map[topology.NodeID]*ib.LFT, len(m))
+		for sw, l := range m {
+			out[sw] = l.Clone()
+		}
+		return out
+	}
+	var old, target map[topology.NodeID]*ib.LFT
+	c.SM.OnDistribute = func(o, t map[topology.NodeID]*ib.LFT) { old, target = clone(o), clone(t) }
+	if _, err := c.SM.ComputeRoutes(); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := c.SM.DistributeDiff(); err != nil {
+		b.Fatal(err)
+	}
+	c.SM.OnDistribute = nil
+	if old == nil {
+		b.Fatal("the flap distributed nothing")
+	}
+	var dlids []ib.LID
+	for _, tg := range c.SM.Targets() {
+		dlids = append(dlids, tg.LID)
+	}
+	return c, old, target, dlids
+}
+
+// BenchmarkCheckTransition measures the transient-deadlock monitor — the
+// section VI-C union-CDG check the SM runs at every distribution fan-out —
+// on the tables of one trunk-link flap.
+func BenchmarkCheckTransition(b *testing.B) {
+	for _, nodes := range []int{648, 5832} {
+		b.Run(fmt.Sprint(nodes), func(b *testing.B) {
+			if testing.Short() && nodes > 648 {
+				b.Skip("large fabric")
+			}
+			c, old, target, dlids := flappedCloud(b, nodes)
+			a := audit.New(nil, nil, audit.Config{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := a.CheckTransition(c.SM.Topo, old, target, c.SM.NodeOfLID, dlids); rep.Total != 0 {
+					b.Fatalf("fat-tree flap reported a transient cycle: %+v", rep.Violations)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkInstalledCDG measures the full-scope audit's CDG pass: the
+// switch CDG of every CA-owned LID's installed routing, then the cycle
+// search, on the 648-node tree after a trunk flap.
+func BenchmarkInstalledCDG(b *testing.B) {
+	c, _, _, _ := flappedCloud(b, 648)
+	nodeOf := c.SM.AddressView()
+	v := &audit.View{Topo: c.SM.Topo, LFTOf: c.SM.ProgrammedLFT, NodeOfLID: nodeOf}
+	var dlids []ib.LID
+	for l, n := range nodeOf {
+		if !c.SM.Topo.Node(n).IsSwitch() {
+			dlids = append(dlids, l)
+		}
+	}
+	sort.Slice(dlids, func(i, j int) bool { return dlids[i] < dlids[j] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cyc := cdg.BuildSwitchCDG(c.SM.Topo, v, dlids).FindCycle(); cyc != nil {
+			b.Fatalf("fat-tree routing has a CDG cycle: %v", cyc)
 		}
 	}
 }

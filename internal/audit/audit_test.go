@@ -205,7 +205,8 @@ func buildSquare(t *testing.T) (*topology.Topology, [4]topology.NodeID, [4]topol
 // LID 12 clockwise s0->s1->s2 and LID 13 clockwise s1->s2->s3; Rnew routes
 // LID 10 clockwise s2->s3->s0 and LID 11 clockwise s3->s0->s1. Each CDG is
 // acyclic on its own, but the union closes the ring of clockwise channel
-// dependencies and deadlocks.
+// dependencies and deadlocks. The monitor's dlids arrive in map order, so
+// every one of the 24 orderings must report the identical cycle.
 func TestTransientCDGCycle(t *testing.T) {
 	topo, sw, ca := buildSquare(t)
 	nodeOf := func(l ib.LID) topology.NodeID {
@@ -250,6 +251,30 @@ func TestTransientCDGCycle(t *testing.T) {
 	}
 	if a.Recorder().Dumps() != 1 {
 		t.Fatal("transition violation must dump")
+	}
+	want := rep.Violations[0].Detail
+	var permute func(k int)
+	orderings := 0
+	permute = func(k int) {
+		if k == len(dlids) {
+			orderings++
+			a, _ := newAuditor(t)
+			order := append([]ib.LID(nil), dlids...)
+			r := a.CheckTransition(topo, old, target, nodeOf, order)
+			if r.Total != 1 || r.Violations[0].Detail != want {
+				t.Fatalf("dlid order %v: detail %+v, want %q", order, r.Violations, want)
+			}
+			return
+		}
+		for i := k; i < len(dlids); i++ {
+			dlids[k], dlids[i] = dlids[i], dlids[k]
+			permute(k + 1)
+			dlids[k], dlids[i] = dlids[i], dlids[k]
+		}
+	}
+	permute(0)
+	if orderings != 24 {
+		t.Fatalf("checked %d orderings, want 24", orderings)
 	}
 
 	// Sanity: the same distribution with old == target is cycle free.

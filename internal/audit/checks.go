@@ -33,8 +33,10 @@ type View struct {
 	VMs []VMBinding
 }
 
-// lft resolves one switch's table through LFTOf or the LFTs map.
-func (v *View) lft(sw topology.NodeID) *ib.LFT {
+// SwitchLFT resolves one switch's table through LFTOf or the LFTs map. It
+// implements cdg.TableRoutes, so the CDG builders read the view's tables
+// directly.
+func (v *View) SwitchLFT(sw topology.NodeID) *ib.LFT {
 	if v.LFTOf != nil {
 		return v.LFTOf(sw)
 	}
@@ -44,7 +46,7 @@ func (v *View) lft(sw topology.NodeID) *ib.LFT {
 // provenanceOf returns the write stamp of the LFT block holding (sw, dlid),
 // or nil when the switch has no table or the block was never stamped.
 func (v *View) provenanceOf(sw topology.NodeID, dlid ib.LID) *ib.Provenance {
-	lft := v.lft(sw)
+	lft := v.SwitchLFT(sw)
 	if lft == nil {
 		return nil
 	}
@@ -61,7 +63,7 @@ func (v *View) NodeOf(l ib.LID) topology.NodeID {
 
 // SwitchRoute implements cdg.LFTRoutes over the view's LFT clones.
 func (v *View) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
-	lft := v.lft(sw)
+	lft := v.SwitchLFT(sw)
 	if lft == nil {
 		return ib.DropPort
 	}
@@ -163,7 +165,7 @@ func classify(v *View, dlid ib.LID, dst, sw topology.NodeID, state map[topology.
 	state[sw] = swState{kind: stateVisiting}
 
 	st := func() swState {
-		lft := v.lft(sw)
+		lft := v.SwitchLFT(sw)
 		if lft == nil {
 			return swState{kind: KindBlackhole, origin: sw, msg: "switch has no programmed LFT"}
 		}
@@ -202,7 +204,7 @@ func classify(v *View, dlid ib.LID, dst, sw topology.NodeID, state map[topology.
 // map — op-scoped (ScopeReach) passes skip it.
 func checkStaleEntries(v *View, c *collector) {
 	for _, sw := range v.Topo.Switches() {
-		lft := v.lft(sw)
+		lft := v.SwitchLFT(sw)
 		if lft == nil {
 			continue
 		}

@@ -10,13 +10,15 @@ import (
 	"ibvsim/internal/topology"
 )
 
-// mapRoutes adapts a plain LFT map to cdg.LFTRoutes so the transition check
-// can build CDGs for the old and new routing functions independently of the
+// mapRoutes adapts a plain LFT map to cdg.TableRoutes so the transition
+// check can read the old and new routing functions independently of the
 // subnet manager's live resolver (which always answers from programmed).
 type mapRoutes struct {
 	lfts   map[topology.NodeID]*ib.LFT
 	nodeOf func(ib.LID) topology.NodeID
 }
+
+func (m mapRoutes) SwitchLFT(sw topology.NodeID) *ib.LFT { return m.lfts[sw] }
 
 func (m mapRoutes) SwitchRoute(sw topology.NodeID, dlid ib.LID) ib.PortNum {
 	lft := m.lfts[sw]
@@ -50,19 +52,19 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 	c.max = a.cfg.MaxViolations
 
 	dlids = dataLIDs(t, dlids, nodeOf)
-	// The switch-only builder: cycle verdicts are identical (CA injection
-	// channels are sources) and this check runs on every distribution
-	// fan-out, so its cost matters at scale.
-	gOld := cdg.BuildSwitchCDG(t, mapRoutes{old, nodeOf}, dlids)
-	gNew := cdg.BuildSwitchCDG(t, mapRoutes{target, nodeOf}, dlids)
-	union := cdg.Union(gOld, gNew)
-	span.SetAttr("old_edges", gOld.NumEdges())
-	span.SetAttr("new_edges", gNew.NumEdges())
-	span.SetAttr("union_edges", union.NumEdges())
+	// This check runs on every distribution fan-out, so it builds the union
+	// in one pass on dense switch channels (cycle verdicts are identical:
+	// CA injection channels are sources). Each edge is tagged with the
+	// side(s) that induce it, which gives the per-side edge counts and
+	// cycle verdicts without building either graph on its own.
+	g := cdg.BuildSwitchUnion(t, mapRoutes{old, nodeOf}, mapRoutes{target, nodeOf}, dlids)
+	span.SetAttr("old_edges", g.SideEdges(cdg.SideOld))
+	span.SetAttr("new_edges", g.SideEdges(cdg.SideNew))
+	span.SetAttr("union_edges", g.NumEdges())
 
-	if cyc := union.FindCycle(); cyc != nil {
-		oldCyclic := gOld.HasCycle()
-		newCyclic := gNew.HasCycle()
+	if cyc := g.FindCycle(); cyc != nil {
+		oldCyclic := g.HasCycleOn(cdg.SideOld)
+		newCyclic := g.HasCycleOn(cdg.SideNew)
 		c.add(Violation{
 			Kind: KindTransientCDG,
 			Detail: fmt.Sprintf(

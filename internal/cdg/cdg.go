@@ -13,6 +13,12 @@
 //     (section VI-C: the union may deadlock even when both are safe),
 //   - the incremental add-path/rollback workflow LASH uses to assign paths
 //     to virtual-lane layers.
+//
+// Three representations serve them. Dense (dense.go) is the working CDG:
+// a CSR over dense switch-channel ids that the audit and DFSSSP build and
+// search. Ordered is LASH's incremental Pearce-Kelly graph. The map-keyed
+// Graph is the complete-CDG reference (BuildFromLFTs, Union) for offline
+// analyses and tests.
 package cdg
 
 import (
@@ -31,8 +37,9 @@ type Channel struct {
 // String implements fmt.Stringer.
 func (c Channel) String() string { return fmt.Sprintf("ch(%d:%d)", c.Node, c.Port) }
 
-// Graph is a channel dependency graph. The zero value is not usable;
-// construct with NewGraph.
+// Graph is a map-keyed channel dependency graph over arbitrary channels,
+// CA injection channels included. The zero value is not usable; construct
+// with NewGraph.
 type Graph struct {
 	ids   map[Channel]int
 	chans []Channel
@@ -284,57 +291,6 @@ func BuildFromLFTs(t *topology.Topology, r LFTRoutes, dlids []ib.LID) *Graph {
 					g.AddDep(Channel{Node: p.Peer, Port: p.PeerPort}, egress)
 				}
 			}
-		}
-	}
-	return g
-}
-
-// BuildSwitchCDG constructs the switch-to-switch restriction of the same
-// CDG: it omits CA injection channels, which have no incoming dependencies
-// and therefore can never lie on a cycle. Any caller that only consults the
-// graph for cycles (FindCycle, the transition union check) gets identical
-// verdicts from this builder.
-//
-// The build follows each switch's egress channel forward to its successor
-// — two route lookups per (destination, switch) instead of BuildFromLFTs's
-// scan of every port of every switch per destination. On the 11664-node
-// fabric (13k destinations × 1620 switches × 36 ports) that asymptotic cut
-// plus the elimination of ~136M CA-edge insertions turns the full-scope
-// audit's CDG pass from minutes into seconds.
-func BuildSwitchCDG(t *topology.Topology, r LFTRoutes, dlids []ib.LID) *Graph {
-	g := NewGraph()
-	sws := t.Switches()
-	for _, dlid := range dlids {
-		dst := r.NodeOf(dlid)
-		if dst == topology.NoNode {
-			continue
-		}
-		for _, swID := range sws {
-			if swID == dst {
-				continue
-			}
-			out := r.SwitchRoute(swID, dlid)
-			if out == ib.DropPort || out == 0 {
-				continue
-			}
-			sw := t.Node(swID)
-			if int(out) >= len(sw.Ports) {
-				continue
-			}
-			p := sw.Ports[out]
-			if p.Peer == topology.NoNode || !p.Up || p.Peer == dst {
-				continue
-			}
-			peer := t.Node(p.Peer)
-			if !peer.IsSwitch() {
-				continue
-			}
-			out2 := r.SwitchRoute(p.Peer, dlid)
-			if out2 == ib.DropPort || out2 == 0 ||
-				int(out2) >= len(peer.Ports) || peer.Ports[out2].Peer == topology.NoNode {
-				continue
-			}
-			g.AddDep(Channel{Node: swID, Port: out}, Channel{Node: p.Peer, Port: out2})
 		}
 	}
 	return g

@@ -311,7 +311,7 @@ func TestBuildSwitchCDGCycleEquivalence(t *testing.T) {
 	}
 	// Edge-set containment: the switch-only edges are exactly the complete
 	// graph's edges minus those sourced at CA injection channels.
-	check := func(name string, tp *topology.Topology, fullG, onlyG *Graph) {
+	check := func(name string, tp *topology.Topology, fullG *Graph, onlyG *Dense) {
 		fullSet := map[[2]Channel]bool{}
 		for _, e := range fullG.Edges() {
 			fullSet[e] = true
