@@ -11,13 +11,21 @@
 //	BenchmarkFullReconfiguration  — the traditional method per migration
 //	BenchmarkAblation*            — scope, SMP mode and mitigation ablations
 //	BenchmarkFabricStep           — flow-simulator round throughput
+//	BenchmarkSnapshotPublish      — VM commands through the daemon's handler
+//	BenchmarkCostWindow           — the per-operation cost-report read
 package bench
 
 import (
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 
+	"ibvsim/internal/api"
 	"ibvsim/internal/audit"
 	"ibvsim/internal/cdg"
 	"ibvsim/internal/cloud"
@@ -29,6 +37,7 @@ import (
 	"ibvsim/internal/sm"
 	"ibvsim/internal/smp"
 	"ibvsim/internal/sriov"
+	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
 
@@ -758,5 +767,129 @@ func BenchmarkInstalledCDG(b *testing.B) {
 		if cyc := cdg.BuildSwitchCDG(c.SM.Topo, v, dlids).FindCycle(); cyc != nil {
 			b.Fatalf("fat-tree routing has a CDG cycle: %v", cyc)
 		}
+	}
+}
+
+// publishServer boots the paper fat tree with prepopulated LIDs (creates
+// and destroys then send no LFT SMPs, leaving the daemon's own tail),
+// prefills vms VMs through the cloud and hands it to an api.Server. The
+// first two hypervisors are kept free for the benchmark VM.
+func publishServer(b *testing.B, nodes, vfs, vms int) (http.Handler, topology.NodeID, topology.NodeID) {
+	b.Helper()
+	topo, err := topology.BuildPaperFatTree(nodes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cas := topo.CAs()
+	c, _, err := cloud.New(topo, cas[0], cas[1:], cloud.Config{
+		Model:            sriov.VSwitchPrepopulated,
+		VFsPerHypervisor: vfs,
+		Scheduler:        cloud.Spread{},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hyps := c.Hypervisors()
+	for i := 0; i < vms; i++ {
+		if _, err := c.CreateVMOn(fmt.Sprintf("pre-%05d", i), hyps[2+i%(len(hyps)-2)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	srv := api.NewServer(c, api.Config{})
+	b.Cleanup(func() { srv.Shutdown(context.Background()) }) //nolint:errcheck
+	return srv.Handler(), hyps[0], hyps[1]
+}
+
+// serve runs one request through the handler and fails on an unexpected
+// status.
+func serve(b *testing.B, h http.Handler, method, path, body string, want int) {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+	if rec.Code != want {
+		b.Fatalf("%s %s: status %d, want %d: %s", method, path, rec.Code, want, rec.Body)
+	}
+}
+
+// BenchmarkSnapshotPublish measures create, migrate and destroy through the
+// daemon's handler on the paper fat tree (11664 nodes; 648 under -short)
+// prefilled with 729 and with 2916 VMs. Each command publishes the
+// previous snapshot patched with what it touched, so the benchmark also
+// asserts that a create/destroy pair allocates no more with four times the
+// VMs.
+func BenchmarkSnapshotPublish(b *testing.B) {
+	nodes, vfs := 11664, 2
+	if testing.Short() {
+		nodes, vfs = 648, 6
+	}
+	allocs := map[int]float64{}
+	for _, vms := range []int{729, 2916} {
+		b.Run(fmt.Sprintf("%d/vms=%d", nodes, vms), func(b *testing.B) {
+			h, src, dst := publishServer(b, nodes, vfs, vms)
+			create := fmt.Sprintf(`{"name":"bench","hypervisor":%d}`, src)
+			migrate := fmt.Sprintf(`{"destination":%d}`, dst)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(b, h, "POST", "/v1/vms", create, http.StatusCreated)
+				serve(b, h, "POST", "/v1/vms/bench/migrate", migrate, http.StatusOK)
+				serve(b, h, "DELETE", "/v1/vms/bench", "", http.StatusOK)
+			}
+			b.StopTimer()
+			allocs[vms] = testing.AllocsPerRun(20, func() {
+				serve(b, h, "POST", "/v1/vms", create, http.StatusCreated)
+				serve(b, h, "DELETE", "/v1/vms/bench", "", http.StatusOK)
+			})
+			b.ReportMetric(allocs[vms], "create+destroy-allocs")
+		})
+	}
+	if small, large := allocs[729], allocs[2916]; small > 0 && large > small*1.1+10 {
+		b.Fatalf("create+destroy allocations grew with the VM count: %.0f at 729 VMs, %.0f at 2916", small, large)
+	}
+}
+
+// BenchmarkCostWindow reads a 3240-span window — one paper migration's
+// n' x m' smp spans at 11664 nodes (Table I) — the way the daemon's cost
+// report does, over 10^4 and 10^6 retained spans. The read locates the
+// window by span ID, so neither its time nor its allocations depend on
+// what else the trace retains.
+func BenchmarkCostWindow(b *testing.B) {
+	const window = 3240
+	allocs := map[int]float64{}
+	for _, retained := range []int{10_000, 1_000_000} {
+		b.Run(fmt.Sprintf("retained=%d", retained), func(b *testing.B) {
+			tr := telemetry.NewTracer()
+			tr.SetSpanCap(retained)
+			for i := 0; i < retained; i++ {
+				sw := fmt.Sprintf("sw%d", i%1620)
+				tr.Emit(telemetry.SpanSMP, sw, 0, time.Microsecond,
+					"switch", sw, "block", i%700, "blocks", 1, "mode", "lid-routed", "attempts", 1)
+			}
+			before := tr.LastSpanID() - window
+			read := func() {
+				smps, switches := 0, map[string]struct{}{}
+				tr.Range(before, func(sp telemetry.SpanRef) {
+					if sp.Kind() == telemetry.SpanSMP {
+						smps++
+						_ = sp.Modelled()
+						if sw, ok := sp.StrAttr("switch"); ok {
+							switches[sw] = struct{}{}
+						}
+					}
+				})
+				if smps != window {
+					b.Fatalf("window held %d smp spans, want %d", smps, window)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read()
+			}
+			b.StopTimer()
+			allocs[retained] = testing.AllocsPerRun(5, read)
+		})
+	}
+	if small, large := allocs[10_000], allocs[1_000_000]; small > 0 && large > small+2 {
+		b.Fatalf("window read allocations grew with the retained trace: %.0f -> %.0f", small, large)
 	}
 }

@@ -39,6 +39,7 @@ import (
 	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/shard"
+	"ibvsim/internal/sm"
 	"ibvsim/internal/telemetry"
 	"ibvsim/internal/topology"
 )
@@ -118,9 +119,13 @@ type Server struct {
 	// request goroutines, and s.snap caches the lazily composed snapshot.
 	co *shard.Coordinator
 
-	// Loop-owned state (never touched by handlers).
+	// Loop-owned state (never touched by handlers): the generation, the
+	// LFT clone cache keys by switch node ID, and the SM the current
+	// snapshot was built from (an SM handover swaps c.SM, forcing a
+	// rebuild).
 	gen     uint64
-	lftRevs map[topology.NodeID]lftIdentity
+	lftRevs []lftIdentity
+	snapSM  *sm.SubnetManager
 
 	// execGate is a test seam: when non-nil the loop rendezvouses twice
 	// around every command (announce, then wait for release), letting tests
@@ -154,7 +159,6 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 		cmds:       make(chan *command, cfg.QueueDepth),
 		retryAfter: cfg.RetryAfter,
 		loopDone:   make(chan struct{}),
-		lftRevs:    map[topology.NodeID]lftIdentity{},
 		log:        cfg.Logger,
 	}
 	s.rec = audit.NewRecorder(hub.Tracer(), cfg.FlightDir, cfg.FlightEntries)
@@ -169,7 +173,7 @@ func NewServer(c *cloud.Cloud, cfg Config) *Server {
 		close(s.loopDone) // no loop in sharded mode
 		s.compose()
 	} else {
-		s.snap.Store(s.buildSnapshot(nil))
+		s.publish(nil)
 		go s.loop()
 	}
 	if cfg.AuditInterval > 0 {
@@ -293,7 +297,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"generation": sn.Gen,
 		"queue":      len(s.cmds),
-		"vms":        len(sn.VMs),
+		"vms":        sn.NumVMs(),
 	})
 }
 
@@ -340,7 +344,7 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 		Model:       sn.Model,
 		SMNode:      sn.SMNode,
 		Generation:  sn.Gen,
-		Hypervisors: sn.Hyps,
+		Hypervisors: sn.Hyps(),
 	}
 	if s.co != nil {
 		resp.Shards = s.co.Shards()
@@ -353,18 +357,16 @@ func (s *Server) handleListVMs(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"generation": sn.Gen,
-		"vms":        sn.VMs,
+		"vms":        sn.VMs(),
 	})
 }
 
 func (s *Server) handleGetVM(w http.ResponseWriter, r *http.Request) {
 	sn := s.snapshot()
 	name := r.PathValue("name")
-	for i := range sn.VMs {
-		if sn.VMs[i].Name == name {
-			writeJSON(w, http.StatusOK, sn.VMs[i])
-			return
-		}
+	if vm, ok := sn.VM(name); ok {
+		writeJSON(w, http.StatusOK, vm)
+		return
 	}
 	writeErr(w, http.StatusNotFound, "no VM %q", name)
 }

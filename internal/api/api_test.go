@@ -88,7 +88,7 @@ func doJSON(t *testing.T, client *http.Client, method, url string, body, out any
 func TestLifecycleAndErrors(t *testing.T) {
 	srv, ts := newTestServer(t, 6, 2, 2, sriov.VSwitchDynamic, Config{})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 
 	// Create (scheduler placement), then a pinned create.
 	var created VMResponse
@@ -227,7 +227,7 @@ func TestConcurrentMutatorsAndReaders(t *testing.T) {
 	// 6 switches x 3 CAs = 18 CAs: 1 SM + 17 hypervisors >= 2 per mutator.
 	srv, ts := newTestServer(t, 6, 3, 2, sriov.VSwitchDynamic, Config{QueueDepth: 4})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 	if len(hyps) < 2*mutators {
 		t.Fatalf("need %d hypervisors, have %d", 2*mutators, len(hyps))
 	}
@@ -461,7 +461,7 @@ func TestBackpressure(t *testing.T) {
 func TestSnapshotCOW(t *testing.T) {
 	srv, ts := newTestServer(t, 8, 2, 2, sriov.VSwitchDynamic, Config{})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 
 	home, away := hyps[0].Node, hyps[len(hyps)-1].Node
 	if st := doJSON(t, cl, "POST", ts.URL+"/v1/vms", CreateVMRequest{Name: "cow", Hypervisor: &home}, nil); st != http.StatusCreated {
@@ -479,8 +479,8 @@ func TestSnapshotCOW(t *testing.T) {
 		t.Fatalf("generation did not advance: %d -> %d", before.Gen, after.Gen)
 	}
 	recloned, shared := 0, 0
-	for sw, lft := range after.lfts {
-		if before.lfts[sw] == lft {
+	for _, sw := range srv.c.SM.Topo.Switches() {
+		if before.lft(sw) == after.lft(sw) {
 			shared++
 		} else {
 			recloned++
@@ -496,10 +496,8 @@ func TestSnapshotCOW(t *testing.T) {
 		t.Fatal("no LFT clones were shared across generations (COW not working)")
 	}
 	// The pre-migration snapshot still resolves the old placement.
-	for _, vm := range before.VMs {
-		if vm.Name == "cow" && vm.Node != home {
-			t.Fatalf("published snapshot mutated: VM on %d, want %d", vm.Node, home)
-		}
+	if vm, _ := before.VM("cow"); vm.Node != home {
+		t.Fatalf("published snapshot mutated: VM on %d, want %d", vm.Node, home)
 	}
 }
 

@@ -2,31 +2,33 @@ package api
 
 import (
 	"net/http"
-	"sort"
 	"time"
 
 	"ibvsim/internal/audit"
 	"ibvsim/internal/ib"
+	"ibvsim/internal/topology"
 )
 
 // AuditView adapts the snapshot for the auditor. Everything handed over is
-// immutable (the snapshot's own maps and LFT clones are never written after
-// publication), so views may be audited concurrently with mutations.
+// immutable (the snapshot's tables and LFT clones are never written after
+// publication; the LID map is built here), so views may be audited
+// concurrently with mutations.
 func (sn *Snapshot) AuditView() *audit.View {
-	lids := make([]ib.LID, 0, len(sn.nodeOfLID))
-	for l := range sn.nodeOfLID {
-		lids = append(lids, l)
-	}
-	sort.Slice(lids, func(i, j int) bool { return lids[i] < lids[j] })
-	vms := make([]audit.VMBinding, len(sn.VMs))
-	for i, vm := range sn.VMs {
-		vms[i] = audit.VMBinding{Name: vm.Name, LID: ib.LID(vm.LID), Hyp: vm.Node}
+	owners := map[ib.LID]topology.NodeID{}
+	var lids []ib.LID
+	sn.nodeOfLID.each(func(l int, n topology.NodeID) {
+		owners[ib.LID(l)] = n
+		lids = append(lids, ib.LID(l))
+	})
+	vms := make([]audit.VMBinding, 0, sn.NumVMs())
+	for _, vm := range sn.VMs() {
+		vms = append(vms, audit.VMBinding{Name: vm.Name, LID: ib.LID(vm.LID), Hyp: vm.Node})
 	}
 	return &audit.View{
 		Topo:       sn.topo,
 		Gen:        sn.Gen,
-		LFTs:       sn.lfts,
-		NodeOfLID:  sn.nodeOfLID,
+		LFTOf:      sn.lft,
+		NodeOfLID:  owners,
 		ActiveLIDs: lids,
 		VMs:        vms,
 	}

@@ -2,6 +2,7 @@ package api
 
 import (
 	"net/http"
+	"slices"
 
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
@@ -69,7 +70,7 @@ func (sn *Snapshot) Explain(src, dst string) (ExplainResponse, error) {
 	}
 	for _, h := range pr.Hops {
 		hop := ExplainHop{Switch: h.Switch, Desc: h.Desc, Egress: h.Egress}
-		if lft := sn.lfts[h.Switch]; lft != nil {
+		if lft := sn.lft(h.Switch); lft != nil {
 			hop.Provenance = lft.ProvenanceOf(ib.LID(pr.DstLID))
 		}
 		if hop.Provenance != nil {
@@ -86,19 +87,19 @@ func (sn *Snapshot) Explain(src, dst string) (ExplainResponse, error) {
 }
 
 // attachSpans resolves the distinct span IDs the hops' provenance names
-// into ExplainSpan records (?format=trace).
+// into ExplainSpan records (?format=trace), in ID order. Each ID is a
+// direct lookup in the tracer, so the cost does not grow with the trace.
 func (s *Server) attachSpans(resp *ExplainResponse) {
-	want := map[int]bool{}
+	var ids []int
 	for _, h := range resp.Hops {
-		if h.Provenance != nil && h.Provenance.Span > 0 {
-			want[h.Provenance.Span] = true
+		if h.Provenance != nil && h.Provenance.Span > 0 && !slices.Contains(ids, h.Provenance.Span) {
+			ids = append(ids, h.Provenance.Span)
 		}
 	}
-	if len(want) == 0 {
-		return
-	}
-	for _, sv := range s.tr.SpansSince(0) {
-		if !want[sv.ID] {
+	slices.Sort(ids)
+	for _, id := range ids {
+		sv, ok := s.tr.SpanByID(id)
+		if !ok {
 			continue
 		}
 		resp.Spans = append(resp.Spans, ExplainSpan{

@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"ibvsim/internal/audit"
+	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/reconcile"
 	"ibvsim/internal/sriov"
@@ -69,6 +69,10 @@ type cmdReply struct {
 	// fabric-wide commands (reconfigure, reconcile), whose touched set is
 	// the whole fabric.
 	auditFull bool
+	// patch names what a VM command touched, for the patched snapshot
+	// publish. nil — fabric-wide commands, and VM commands that failed
+	// partway — asks for a full rebuild.
+	patch *snapPatch
 }
 
 // CostReport states what one operation cost the fabric, in the paper's
@@ -145,8 +149,7 @@ func (s *Server) loop() {
 		spanBefore := s.tr.LastSpanID()
 		rep := s.execute(cmd)
 		exec.ObserveDuration(time.Since(start))
-		sn := s.buildSnapshot(s.snap.Load())
-		s.snap.Store(sn)
+		sn := s.publish(rep.patch)
 		// Black box first, then audit, then the reply: if the mutation
 		// corrupted the fabric, the violation is counted and the dump
 		// already holds this mutation by the time the client hears back.
@@ -179,8 +182,9 @@ func (s *Server) execute(cmd *command) cmdReply {
 		} else {
 			_, err = s.c.CreateVMOn(cmd.name, cmd.hyp)
 		}
+		patch := &snapPatch{vms: []string{cmd.name}}
 		if err != nil {
-			return errReply(err)
+			return errReply(err).withPatch(patch)
 		}
 		vm := s.c.VM(cmd.name)
 		hypDesc := ""
@@ -203,20 +207,23 @@ func (s *Server) execute(cmd *command) cmdReply {
 			},
 			auditLIDs: []ib.LID{vm.Addr.LID},
 			auditVMs:  []audit.VMBinding{{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp}},
+			patch:     patch,
 		}
 
 	case opDestroyVM:
 		var freedLID ib.LID
+		patch := &snapPatch{vms: []string{cmd.name}}
 		if vm := s.c.VM(cmd.name); vm != nil {
 			freedLID = vm.Addr.LID
+			patch.hyps = []topology.NodeID{vm.Hyp}
 		}
 		if err := s.c.DestroyVM(cmd.name); err != nil {
-			return errReply(err)
+			return errReply(err).withPatch(patch)
 		}
 		r := cmdReply{status: http.StatusOK, body: DestroyResponse{
 			Name: cmd.name,
 			Cost: s.costFromWindow(before),
-		}}
+		}, patch: patch}
 		// Under prepopulated LIDs the VF keeps its LID after teardown, so
 		// the freed column is still auditable; under dynamic assignment the
 		// LID is gone and there is no column left to check.
@@ -227,14 +234,15 @@ func (s *Server) execute(cmd *command) cmdReply {
 
 	case opMigrateVM:
 		var vmLID ib.LID
-		var srcHyp topology.NodeID
+		srcHyp := topology.NoNode
 		srcVF := -1
 		if vm := s.c.VM(cmd.name); vm != nil {
 			vmLID, srcHyp, srcVF = vm.Addr.LID, vm.Hyp, vm.VF
 		}
+		patch := &snapPatch{vms: []string{cmd.name}, hyps: []topology.NodeID{srcHyp}}
 		rep, err := s.c.MigrateVM(cmd.name, cmd.hyp)
 		if err != nil {
-			r := errReply(err)
+			r := errReply(err).withPatch(patch)
 			// A failed migration may have half-applied its plan (e.g. the
 			// invalidation pre-pass landed and the updates died), stranding
 			// exactly the VM's column — audit it before the client hears.
@@ -273,6 +281,7 @@ func (s *Server) execute(cmd *command) cmdReply {
 			},
 			auditLIDs: lids,
 			auditVMs:  []audit.VMBinding{{Name: vm.Name, LID: vm.Addr.LID, Hyp: vm.Hyp}},
+			patch:     patch,
 		}
 
 	case opReconfigure:
@@ -314,22 +323,24 @@ func (s *Server) execute(cmd *command) cmdReply {
 // producer, so (before, LastSpanID] is exactly this operation's window).
 // For operations without an orchestrator-level report — VM boot and
 // teardown under dynamic LID assignment — the smp spans are the record.
+// The read costs O(window): the tracer locates the window by ID and no
+// attribute map is built.
 func (s *Server) costFromWindow(before int) CostReport {
 	var c CostReport
 	switches := map[string]struct{}{}
-	for _, sp := range s.tr.SpansSince(before) {
-		switch sp.Kind {
+	s.tr.Range(before, func(sp telemetry.SpanRef) {
+		switch sp.Kind() {
 		case telemetry.SpanSMP:
 			c.SpanSMPs++
 			c.LFTSMPs++
-			c.ModelledUS += sp.Modelled.Microseconds()
-			if sw, ok := sp.Attrs["switch"].(string); ok {
+			c.ModelledUS += sp.Modelled().Microseconds()
+			if sw, ok := sp.StrAttr("switch"); ok {
 				switches[sw] = struct{}{}
 			}
 		case telemetry.SpanMigration:
-			c.TraceSpan = sp.ID
+			c.TraceSpan = sp.ID()
 		}
-	}
+	})
 	c.SwitchesUpdated = len(switches)
 	return c
 }
@@ -338,20 +349,28 @@ func errReply(err error) cmdReply {
 	return cmdReply{status: classifyErr(err), body: map[string]string{"error": err.Error()}}
 }
 
-// classifyErr maps the cloud's error vocabulary onto HTTP statuses. The
-// cloud reports errors as formatted strings (it predates this layer), so
-// the mapping is textual; anything unrecognised is a 500.
+// withPatch keeps the patched publish for a failed VM command when the
+// cloud refused it up front (a typed 4xx error: nothing changed). Any other
+// failure may have stopped partway, so the reply asks for a rebuild.
+func (r cmdReply) withPatch(p *snapPatch) cmdReply {
+	if r.status != http.StatusInternalServerError {
+		r.patch = p
+	}
+	return r
+}
+
+// classifyErr maps the cloud's typed refusals (cloud.Err*) onto HTTP
+// statuses; anything else is a 500.
 func classifyErr(err error) int {
-	msg := err.Error()
 	switch {
-	case strings.Contains(msg, "already exists"),
-		strings.Contains(msg, "is already on node"),
-		strings.Contains(msg, "is busy"),
-		strings.Contains(msg, "free VF"):
+	case errors.Is(err, cloud.ErrExists),
+		errors.Is(err, cloud.ErrSameNode),
+		errors.Is(err, cloud.ErrBusy),
+		errors.Is(err, cloud.ErrNoFreeVF):
 		return http.StatusConflict
-	case strings.Contains(msg, "no VM "):
+	case errors.Is(err, cloud.ErrNoVM):
 		return http.StatusNotFound
-	case strings.Contains(msg, "not a hypervisor"):
+	case errors.Is(err, cloud.ErrNotHypervisor):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

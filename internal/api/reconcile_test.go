@@ -16,7 +16,7 @@ import (
 func TestReconcileEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, 6, 2, 3, sriov.VSwitchDynamic, Config{})
 	cl := ts.Client()
-	hyps := srv.Snapshot().Hyps
+	hyps := srv.Snapshot().Hyps()
 
 	// Fragment: one VM on each of six hosts; minimal occupancy is two.
 	for i := 0; i < 6; i++ {
@@ -158,7 +158,7 @@ func TestReconcileFatTreeAcceptance(t *testing.T) {
 	const vfs = 4
 	bootVMs := func(t *testing.T, srv *Server, ts *httptest.Server) {
 		cl := ts.Client()
-		hyps := srv.Snapshot().Hyps
+		hyps := srv.Snapshot().Hyps()
 		// 24 VMs across 12 hosts (2 each): minimal occupancy is 6 hosts, so
 		// the fleet is fragmented across 2x the minimal host count.
 		for i := 0; i < 12; i++ {

@@ -102,32 +102,24 @@ func (s *Server) compose() *Snapshot {
 	}()
 	topo := s.c.SM.Topo
 	sn := &Snapshot{
-		Gen:       gen,
-		Fabric:    topo.String(),
-		Model:     s.c.Model.String(),
-		SMNode:    s.c.SM.SMNode,
-		topo:      topo,
-		lidOf:     map[topology.NodeID]ib.LID{},
-		nodeOfLID: s.c.SM.AddressView(),
-		lfts:      map[topology.NodeID]*ib.LFT{},
+		Gen:    gen,
+		Fabric: topo.String(),
+		Model:  s.c.Model.String(),
+		SMNode: s.c.SM.SMNode,
+		topo:   topo,
 	}
+	sn.lidOf, sn.nodeOfLID = s.addressTables()
+	tables := newCOWArray[*ib.LFT](nil).edit()
 	for _, id := range topo.Switches() {
-		if lid := s.c.SM.LIDOf(id); lid != ib.LIDUnassigned {
-			sn.lidOf[id] = lid
-		}
-		if lft := s.c.SM.ProgrammedLFT(id); lft != nil {
-			sn.lfts[id] = lft
-		}
+		tables.set(int(id), s.c.SM.ProgrammedLFT(id))
 	}
-	for _, id := range topo.CAs() {
-		if lid := s.c.SM.LIDOf(id); lid != ib.LIDUnassigned {
-			sn.lidOf[id] = lid
-		}
-	}
+	sn.lfts = tables.done()
+	var hyps []HypInfo
+	var vms []VMInfo
 	for _, ss := range s.co.Snaps() {
 		zone := ss.Shard
 		for _, h := range ss.Hyps {
-			sn.Hyps = append(sn.Hyps, HypInfo{
+			hyps = append(hyps, HypInfo{
 				Node:     h.Node,
 				Desc:     topo.Node(h.Node).Desc,
 				LID:      uint16(s.c.SM.LIDOf(h.Node)),
@@ -137,7 +129,7 @@ func (s *Server) compose() *Snapshot {
 			})
 		}
 		for _, vm := range ss.VMs {
-			sn.VMs = append(sn.VMs, VMInfo{
+			vms = append(vms, VMInfo{
 				Name:    vm.Name,
 				Node:    vm.Hyp,
 				HypDesc: topo.Node(vm.Hyp).Desc,
@@ -148,8 +140,9 @@ func (s *Server) compose() *Snapshot {
 			})
 		}
 	}
-	sort.Slice(sn.Hyps, func(i, j int) bool { return sn.Hyps[i].Node < sn.Hyps[j].Node })
-	sort.Slice(sn.VMs, func(i, j int) bool { return sn.VMs[i].Name < sn.VMs[j].Name })
+	sort.Slice(hyps, func(i, j int) bool { return hyps[i].Node < hyps[j].Node })
+	sort.Slice(vms, func(i, j int) bool { return vms[i].Name < vms[j].Name })
+	sn.hyps, sn.vms = cowListOf(hyps), cowListOf(vms)
 	s.snap.Store(sn)
 	return sn
 }
@@ -302,8 +295,7 @@ func (s *Server) snapAudit() (uint64, int) {
 		}
 		return sn.Gen, rep.Total
 	}
-	sn := s.buildSnapshot(s.snap.Load())
-	s.snap.Store(sn)
+	sn := s.publish(nil)
 	return sn.Gen, s.auditAfterMutation(sn)
 }
 

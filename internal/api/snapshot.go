@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"ibvsim/internal/cloud"
 	"ibvsim/internal/ib"
 	"ibvsim/internal/topology"
 )
@@ -32,23 +33,43 @@ type HypInfo struct {
 
 // Snapshot is an immutable view of the fabric at one generation, published
 // by the command loop after every mutation and read lock-free by every GET
-// handler. The LFT clones are copy-on-write: a table whose revision counter
-// (ib.LFT.Rev) did not move between generations is shared with the previous
-// snapshot rather than re-cloned, so steady-state snapshots after a one-LID
-// migration clone only the switches that migration touched.
+// handler. Its tables are persistent (cow.go): a VM command publishes the
+// previous snapshot patched with only the VMs, hypervisors, LIDs and switch
+// tables it changed, and shares everything else. The LFT clones are
+// copy-on-write too: a table whose identity (object, ib.LFT.Rev) did not
+// move between generations is shared rather than re-cloned.
 type Snapshot struct {
 	Gen    uint64
 	Fabric string
 	Model  string
 	SMNode topology.NodeID
-	VMs    []VMInfo
-	Hyps   []HypInfo
 
-	topo      *topology.Topology // static after build; safe to share
-	lidOf     map[topology.NodeID]ib.LID
-	nodeOfLID map[ib.LID]topology.NodeID
-	lfts      map[topology.NodeID]*ib.LFT // immutable clones
+	topo      *topology.Topology                // static after build; safe to share
+	vms       cowList[string, VMInfo]           // by name
+	hyps      cowList[topology.NodeID, HypInfo] // by node
+	lidOf     cowArray[ib.LID]                  // base LID by node ID
+	nodeOfLID cowArray[topology.NodeID]         // owner by LID; NoNode when unbound
+	lfts      cowArray[*ib.LFT]                 // immutable clones by switch node ID
 }
+
+func (v VMInfo) key() string           { return v.Name }
+func (h HypInfo) key() topology.NodeID { return h.Node }
+
+// VMs returns the snapshot's VMs in name order (nil when there are none).
+func (sn *Snapshot) VMs() []VMInfo { return sn.vms.all() }
+
+// NumVMs returns how many VMs the snapshot holds.
+func (sn *Snapshot) NumVMs() int { return sn.vms.len() }
+
+// VM looks one VM up by name in O(log n).
+func (sn *Snapshot) VM(name string) (VMInfo, bool) { return sn.vms.get(name) }
+
+// Hyps returns the snapshot's hypervisors in node order.
+func (sn *Snapshot) Hyps() []HypInfo { return sn.hyps.all() }
+
+// lft returns the snapshot's clone of a switch's programmed table (nil when
+// the switch was never programmed).
+func (sn *Snapshot) lft(sw topology.NodeID) *ib.LFT { return sn.lfts.get(int(sw)) }
 
 // lftIdentity is the copy-on-write cache key for one switch's programmed
 // table. The revision alone is not enough: the SM *replaces* the programmed
@@ -62,11 +83,41 @@ type lftIdentity struct {
 	rev uint64
 }
 
-// buildSnapshot runs on the command loop (or in NewServer before the loop
-// starts) — it reads the cloud directly, which no published snapshot ever
-// does.
-func (s *Server) buildSnapshot(prev *Snapshot) *Snapshot {
+// snapPatch names what a VM command touched: the snapshot publisher
+// re-reads exactly these VMs, the hypervisors they are on now, and the
+// listed hypervisors (where a VM was before the command).
+type snapPatch struct {
+	vms  []string
+	hyps []topology.NodeID
+}
+
+// publish advances the generation and stores the next snapshot: prev
+// patched with p, or — for fabric-wide commands (p == nil) and after an SM
+// handover swapped c.SM — a full rebuild. It runs on the command loop (or
+// in NewServer before the loop starts); it reads the cloud directly, which
+// no published snapshot ever does.
+func (s *Server) publish(p *snapPatch) *Snapshot {
 	s.gen++
+	prev := s.snap.Load()
+	var sn *Snapshot
+	if p == nil || prev == nil || s.c.SM != s.snapSM {
+		s.c.SM.DrainAddressChanges() // the rebuild reads every address
+		s.snapSM = s.c.SM
+		sn = s.buildSnapshot(prev)
+		s.reg.Counter("api.snapshot.rebuilds").Inc()
+	} else {
+		sn = s.patchSnapshot(prev, p)
+	}
+	s.snap.Store(sn)
+	s.reg.Gauge("api.snapshot.generation").Set(int64(s.gen))
+	return sn
+}
+
+// buildSnapshot builds generation s.gen from scratch, borrowing only the
+// unchanged LFT clones of prev (which may be nil). It is the fallback for
+// fabric-wide commands and the from-scratch twin the patched publish is
+// tested against.
+func (s *Server) buildSnapshot(prev *Snapshot) *Snapshot {
 	topo := s.c.SM.Topo
 	sn := &Snapshot{
 		Gen:    s.gen,
@@ -74,68 +125,137 @@ func (s *Server) buildSnapshot(prev *Snapshot) *Snapshot {
 		Model:  s.c.Model.String(),
 		SMNode: s.c.SM.SMNode,
 		topo:   topo,
-		lidOf:  map[topology.NodeID]ib.LID{},
-		// One pass over the SM's address maps. The per-node alternative
-		// (ExtraLIDsOf for every CA) rescans the whole extra-LID map per
-		// node — O(CAs x LIDs) per snapshot, which at 10^4 nodes turned
-		// every mutation into seconds of map iteration.
-		nodeOfLID: s.c.SM.AddressView(),
-		lfts:      map[topology.NodeID]*ib.LFT{},
 	}
 
-	for _, id := range topo.Switches() {
-		if lid := s.c.SM.LIDOf(id); lid != ib.LIDUnassigned {
-			sn.lidOf[id] = lid
-		}
-	}
-	for _, id := range topo.CAs() {
-		if lid := s.c.SM.LIDOf(id); lid != ib.LIDUnassigned {
-			sn.lidOf[id] = lid
-		}
-	}
+	sn.lidOf, sn.nodeOfLID = s.addressTables()
 
+	hyps := make([]HypInfo, 0, len(s.c.Hypervisors()))
 	for _, hn := range s.c.Hypervisors() {
-		h := s.c.Hypervisor(hn)
-		sn.Hyps = append(sn.Hyps, HypInfo{
-			Node:     hn,
-			Desc:     topo.Node(hn).Desc,
-			LID:      uint16(s.c.SM.LIDOf(hn)),
-			VFs:      h.HCA.NumVFs(),
-			Attached: len(h.HCA.AttachedVFs()),
-		})
+		hyps = append(hyps, s.hypInfo(hn))
 	}
-
-	for _, name := range s.c.VMs() {
-		vm := s.c.VM(name)
-		sn.VMs = append(sn.VMs, VMInfo{
-			Name:    vm.Name,
-			Node:    vm.Hyp,
-			HypDesc: topo.Node(vm.Hyp).Desc,
-			VF:      vm.VF,
-			LID:     uint16(vm.Addr.LID),
-			GUID:    vm.Addr.GUID.String(),
-			GID:     vm.Addr.GID.String(),
-		})
+	sn.hyps = cowListOf(hyps)
+	names := s.c.VMs()
+	vms := make([]VMInfo, 0, len(names))
+	for _, name := range names {
+		vms = append(vms, s.vmInfo(s.c.VM(name)))
 	}
+	sn.vms = cowListOf(vms)
 
+	var prevLFTs cowArray[*ib.LFT]
+	if prev != nil {
+		prevLFTs = prev.lfts
+	}
+	sn.lfts = s.syncLFTs(prevLFTs)
+	return sn
+}
+
+// addressTables reads both of the SM's address maps whole: base LID by
+// node, and owner by LID (one pass over the SM's maps; the per-node
+// alternative, ExtraLIDsOf for every CA, rescans the extra-LID map per
+// node).
+func (s *Server) addressTables() (cowArray[ib.LID], cowArray[topology.NodeID]) {
+	topo := s.c.SM.Topo
+	bases := newCOWArray(ib.LIDUnassigned).edit()
+	for _, ids := range [][]topology.NodeID{topo.Switches(), topo.CAs()} {
+		for _, id := range ids {
+			bases.set(int(id), s.c.SM.LIDOf(id))
+		}
+	}
+	owners := newCOWArray(topology.NoNode).edit()
+	for l, n := range s.c.SM.AddressView() {
+		owners.set(int(l), n)
+	}
+	return bases.done(), owners.done()
+}
+
+// patchSnapshot builds generation s.gen from prev by re-reading only what
+// changed: the LIDs the SM recorded as rebound since the last publish, the
+// VMs and hypervisors the command touched, and the switch tables whose
+// identity moved.
+func (s *Server) patchSnapshot(prev *Snapshot, p *snapPatch) *Snapshot {
+	sn := *prev
+	sn.Gen = s.gen
+	hyps := p.hyps
+	if lids := s.c.SM.DrainAddressChanges(); len(lids) > 0 {
+		owners, bases := sn.nodeOfLID.edit(), sn.lidOf.edit()
+		for _, l := range lids {
+			n := s.c.SM.NodeOfLID(l)
+			owners.set(int(l), n)
+			if n != topology.NoNode && s.c.SM.LIDOf(n) == l {
+				bases.set(int(n), l)
+				hyps = append(hyps, n) // a hypervisor's row carries its base LID
+			}
+		}
+		sn.nodeOfLID, sn.lidOf = owners.done(), bases.done()
+	}
+	for _, name := range p.vms {
+		if vm := s.c.VM(name); vm != nil {
+			sn.vms = sn.vms.set(s.vmInfo(vm))
+			hyps = append(hyps, vm.Hyp)
+		} else {
+			sn.vms = sn.vms.del(name)
+		}
+	}
+	for _, hn := range hyps {
+		if s.c.Hypervisor(hn) != nil {
+			sn.hyps = sn.hyps.set(s.hypInfo(hn))
+		}
+	}
+	sn.lfts = s.syncLFTs(prev.lfts)
+	return &sn
+}
+
+// syncLFTs returns prev with every switch whose programmed table changed
+// identity re-cloned. It checks every switch, so LFT writes made outside
+// any command (a harness resweep, an injected corruption) are picked up.
+func (s *Server) syncLFTs(prev cowArray[*ib.LFT]) cowArray[*ib.LFT] {
+	topo := s.c.SM.Topo
+	if n := topo.NumNodes(); len(s.lftRevs) < n {
+		s.lftRevs = append(s.lftRevs, make([]lftIdentity, n-len(s.lftRevs))...)
+	}
+	e := prev.edit()
 	clones := 0
 	for _, sw := range topo.Switches() {
 		cur := s.c.SM.ProgrammedLFT(sw)
 		if cur == nil {
+			e.set(int(sw), nil)
 			continue
 		}
 		id := lftIdentity{src: cur, rev: cur.Rev()}
-		if prev != nil && prev.lfts[sw] != nil && s.lftRevs[sw] == id {
-			sn.lfts[sw] = prev.lfts[sw]
-		} else {
-			sn.lfts[sw] = cur.Clone()
-			s.lftRevs[sw] = id
-			clones++
+		if prev.get(int(sw)) != nil && s.lftRevs[sw] == id {
+			continue
 		}
+		e.set(int(sw), cur.Clone())
+		s.lftRevs[sw] = id
+		clones++
 	}
 	s.reg.Counter("api.snapshot.lft_clones").Add(int64(clones))
-	s.reg.Gauge("api.snapshot.generation").Set(int64(s.gen))
-	return sn
+	return e.done()
+}
+
+// vmInfo renders one VM for the snapshot.
+func (s *Server) vmInfo(vm *cloud.VM) VMInfo {
+	return VMInfo{
+		Name:    vm.Name,
+		Node:    vm.Hyp,
+		HypDesc: s.c.SM.Topo.Node(vm.Hyp).Desc,
+		VF:      vm.VF,
+		LID:     uint16(vm.Addr.LID),
+		GUID:    vm.Addr.GUID.String(),
+		GID:     vm.Addr.GID.String(),
+	}
+}
+
+// hypInfo renders one hypervisor for the snapshot.
+func (s *Server) hypInfo(hn topology.NodeID) HypInfo {
+	h := s.c.Hypervisor(hn)
+	return HypInfo{
+		Node:     hn,
+		Desc:     s.c.SM.Topo.Node(hn).Desc,
+		LID:      uint16(s.c.SM.LIDOf(hn)),
+		VFs:      h.HCA.NumVFs(),
+		Attached: h.HCA.AttachedCount(),
+	}
 }
 
 // PathHop is one switch traversal of a walked path.
@@ -160,10 +280,8 @@ type PathResponse struct {
 // resolve maps a path endpoint token — a VM name or a numeric node ID — to
 // the node traffic enters/leaves the fabric at and the LID addressing it.
 func (sn *Snapshot) resolve(token string) (topology.NodeID, ib.LID, error) {
-	for i := range sn.VMs {
-		if sn.VMs[i].Name == token {
-			return sn.VMs[i].Node, ib.LID(sn.VMs[i].LID), nil
-		}
+	if vm, ok := sn.VM(token); ok {
+		return vm.Node, ib.LID(vm.LID), nil
 	}
 	id, err := strconv.Atoi(token)
 	if err != nil {
@@ -173,8 +291,8 @@ func (sn *Snapshot) resolve(token string) (topology.NodeID, ib.LID, error) {
 	if sn.topo.Node(node) == nil {
 		return topology.NoNode, 0, fmt.Errorf("no node %d", node)
 	}
-	lid, ok := sn.lidOf[node]
-	if !ok {
+	lid := sn.lidOf.get(int(node))
+	if lid == ib.LIDUnassigned {
 		return topology.NoNode, 0, fmt.Errorf("node %d has no LID", node)
 	}
 	return node, lid, nil
@@ -214,7 +332,7 @@ func (sn *Snapshot) Path(src, dst string) (PathResponse, error) {
 		}
 	}
 	for range [maxPathHops]struct{}{} {
-		lft := sn.lfts[cur]
+		lft := sn.lft(cur)
 		if lft == nil {
 			return resp, fmt.Errorf("switch %d has no programmed LFT", cur)
 		}

@@ -64,13 +64,13 @@ func TestSnapshotFollowsProgrammedObjectSwap(t *testing.T) {
 		if prog == nil {
 			t.Fatalf("switch %d has no programmed LFT", sw)
 		}
-		if sn.lfts[sw] == nil {
+		if sn.lft(sw) == nil {
 			t.Fatalf("snapshot has no LFT clone for switch %d", sw)
 		}
-		if !sn.lfts[sw].Equal(prog) {
+		if !sn.lft(sw).Equal(prog) {
 			t.Errorf("switch %d: snapshot LFT diverges from programmed table (stale COW clone)", sw)
 		}
-		if before.lfts[sw] != nil && !before.lfts[sw].Equal(prog) {
+		if before.lft(sw) != nil && !before.lft(sw).Equal(prog) {
 			moved = true
 		}
 	}

@@ -170,7 +170,6 @@ func (a *Auditor) ViolationsTotal() int64 { return a.total.Value() }
 // bump audit.violations.<kind> counters and trigger a flight-recorder dump.
 func (a *Auditor) Run(v *View, scope Scope) *Report {
 	start := time.Now()
-	span := a.tr.Start(telemetry.SpanAudit, scope.String())
 	var c collector
 	c.max = a.cfg.MaxViolations
 
@@ -194,13 +193,17 @@ func (a *Auditor) Run(v *View, scope Scope) *Report {
 		Truncated:       c.total > len(c.kept),
 		WallUS:          time.Since(start).Microseconds(),
 	}
-	a.finish(span, rep)
+	// A pass opens no child spans, so its span is emitted finished: one is
+	// retained per mutation, and an emitted span is stored compactly.
+	a.tr.Emit(telemetry.SpanAudit, scope.String(), time.Since(start), 0,
+		"generation", int64(rep.Gen), "lids", rep.LIDsChecked, "violations", rep.Total)
+	a.finish(rep)
 	return rep
 }
 
-// finish publishes a report: counters, span attributes, the last-report
-// slot, and — on violations — a flight-recorder dump.
-func (a *Auditor) finish(span *telemetry.Span, rep *Report) {
+// finish publishes a report: counters, the last-report slot, and — on
+// violations — a flight-recorder dump.
+func (a *Auditor) finish(rep *Report) {
 	a.runs.Inc()
 	a.total.Add(int64(rep.Total))
 	for kind, n := range rep.ByKind {
@@ -209,10 +212,6 @@ func (a *Auditor) finish(span *telemetry.Span, rep *Report) {
 	a.reg.Gauge("audit.last_violations").Set(int64(rep.Total))
 	a.reg.Gauge("audit.last_generation").Set(int64(rep.Gen))
 	a.reg.WallHistogram("audit.run_wall_us", nil).Observe(rep.WallUS)
-	span.SetAttr("generation", int64(rep.Gen))
-	span.SetAttr("lids", rep.LIDsChecked)
-	span.SetAttr("violations", rep.Total)
-	span.End()
 	a.mu.Lock()
 	a.last = rep
 	a.mu.Unlock()

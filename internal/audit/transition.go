@@ -83,6 +83,10 @@ func (a *Auditor) CheckTransition(t *topology.Topology, old, target map[topology
 		Truncated:       c.total > len(c.kept),
 		WallUS:          time.Since(start).Microseconds(),
 	}
-	a.finish(span, rep)
+	span.SetAttr("generation", int64(rep.Gen))
+	span.SetAttr("lids", rep.LIDsChecked)
+	span.SetAttr("violations", rep.Total)
+	span.End()
+	a.finish(rep)
 	return rep
 }

@@ -246,17 +246,17 @@ func (c *Cloud) CreateVMOnVFShard(name string, hyp topology.NodeID, vf int, shar
 	_, exists := c.vms[name]
 	c.mu.RUnlock()
 	if exists {
-		return nil, boot, fmt.Errorf("cloud: VM %q already exists", name)
+		return nil, boot, fmt.Errorf("cloud: VM %q %w", name, ErrExists)
 	}
 	h := c.hyps[hyp]
 	if h == nil {
-		return nil, boot, fmt.Errorf("cloud: node %d is not a hypervisor", hyp)
+		return nil, boot, fmt.Errorf("cloud: node %d %w", hyp, ErrNotHypervisor)
 	}
 	if vf < 0 {
 		vf = h.HCA.FreeVF()
 	}
 	if vf < 0 {
-		return nil, boot, fmt.Errorf("cloud: hypervisor %d has no free VF", hyp)
+		return nil, boot, fmt.Errorf("cloud: hypervisor %d has no %w", hyp, ErrNoFreeVF)
 	}
 	if c.Model == sriov.VSwitchDynamic {
 		var err error
@@ -311,7 +311,7 @@ func (c *Cloud) DestroyVMStatsShard(name string, shard int) (core.BootStats, err
 	var boot core.BootStats
 	vm := c.VM(name)
 	if vm == nil {
-		return boot, fmt.Errorf("cloud: no VM %q", name)
+		return boot, fmt.Errorf("cloud: %w %q", ErrNoVM, name)
 	}
 	h := c.hyps[vm.Hyp]
 	if err := h.HCA.Detach(vm.VF); err != nil {
@@ -375,21 +375,21 @@ func (c *Cloud) MigrateVMVFShard(name string, dst topology.NodeID, dstVF int, sh
 	var rep MigrationReport
 	vm := c.VM(name)
 	if vm == nil {
-		return rep, fmt.Errorf("cloud: no VM %q", name)
+		return rep, fmt.Errorf("cloud: %w %q", ErrNoVM, name)
 	}
 	dstH := c.hyps[dst]
 	if dstH == nil {
-		return rep, fmt.Errorf("cloud: destination %d is not a hypervisor", dst)
+		return rep, fmt.Errorf("cloud: destination %d %w", dst, ErrNotHypervisor)
 	}
 	if dst == vm.Hyp {
-		return rep, fmt.Errorf("cloud: VM %q is already on node %d", name, dst)
+		return rep, fmt.Errorf("cloud: VM %q %w %d", name, ErrSameNode, dst)
 	}
 	srcH := c.hyps[vm.Hyp]
 	if dstVF < 0 {
 		dstVF = dstH.HCA.FreeVF()
 	}
 	if dstVF < 0 {
-		return rep, fmt.Errorf("cloud: destination %d has no free VF", dst)
+		return rep, fmt.Errorf("cloud: destination %d has no %w", dst, ErrNoFreeVF)
 	}
 	rep.VM, rep.From, rep.To = name, vm.Hyp, dst
 

@@ -41,7 +41,7 @@ func (c *Cloud) planWave(moves []Move) ([]wavePlanned, error) {
 	for _, mv := range moves {
 		vm := c.vms[mv.VM]
 		if vm == nil {
-			return nil, fmt.Errorf("cloud: no VM %q", mv.VM)
+			return nil, fmt.Errorf("cloud: %w %q", ErrNoVM, mv.VM)
 		}
 		if seen[mv.VM] {
 			return nil, fmt.Errorf("cloud: VM %q appears twice in one wave", mv.VM)
@@ -49,10 +49,10 @@ func (c *Cloud) planWave(moves []Move) ([]wavePlanned, error) {
 		seen[mv.VM] = true
 		dstH := c.hyps[mv.To]
 		if dstH == nil {
-			return nil, fmt.Errorf("cloud: destination %d is not a hypervisor", mv.To)
+			return nil, fmt.Errorf("cloud: destination %d %w", mv.To, ErrNotHypervisor)
 		}
 		if mv.To == vm.Hyp {
-			return nil, fmt.Errorf("cloud: VM %q is already on node %d", mv.VM, mv.To)
+			return nil, fmt.Errorf("cloud: VM %q %w %d", mv.VM, ErrSameNode, mv.To)
 		}
 		if reserved[mv.To] == nil {
 			reserved[mv.To] = map[int]bool{}
@@ -65,7 +65,7 @@ func (c *Cloud) planWave(moves []Move) ([]wavePlanned, error) {
 			}
 		}
 		if dstVF < 0 {
-			return nil, fmt.Errorf("cloud: destination %d has no free VF", mv.To)
+			return nil, fmt.Errorf("cloud: destination %d has no %w", mv.To, ErrNoFreeVF)
 		}
 		reserved[mv.To][dstVF] = true
 		var plan *core.MigrationPlan

@@ -12,7 +12,6 @@ package ib
 
 import (
 	"fmt"
-	"strings"
 )
 
 // LID is a 16-bit InfiniBand local identifier. LID 0 is reserved
@@ -51,7 +50,22 @@ func (l LID) String() string { return fmt.Sprintf("%d", uint16(l)) }
 type GUID uint64
 
 // String renders the GUID in the canonical 0x%016x form.
-func (g GUID) String() string { return fmt.Sprintf("0x%016x", uint64(g)) }
+func (g GUID) String() string {
+	var b [18]byte
+	b[0], b[1] = '0', 'x'
+	putHex(b[2:], uint64(g), 16)
+	return string(b[:])
+}
+
+// putHex writes the low digits*4 bits of v into dst as zero-padded
+// lowercase hex.
+func putHex(dst []byte, v uint64, digits int) {
+	const hex = "0123456789abcdef"
+	for i := digits - 1; i >= 0; i-- {
+		dst[i] = hex[v&0xf]
+		v >>= 4
+	}
+}
 
 // GIDPrefix is the 64-bit subnet prefix configured by the fabric
 // administrator. The default prefix from the IBTA spec is used when none is
@@ -74,17 +88,19 @@ func MakeGID(prefix GIDPrefix, guid GUID) GID { return GID{Prefix: prefix, GUID:
 // String renders the GID as an IPv6-style string, e.g.
 // fe80:0000:0000:0000:0002:c903:00a1:beef.
 func (g GID) String() string {
-	var sb strings.Builder
-	p := uint64(g.Prefix)
-	q := uint64(g.GUID)
-	for i := 3; i >= 0; i-- {
-		fmt.Fprintf(&sb, "%04x:", (p>>(16*i))&0xffff)
+	// Eight 16-bit groups of four hex digits, colon separated.
+	var b [39]byte
+	for i := 0; i < 8; i++ {
+		half := uint64(g.Prefix)
+		if i >= 4 {
+			half = uint64(g.GUID)
+		}
+		putHex(b[i*5:], half>>(16*(3-i%4)), 4)
+		if i < 7 {
+			b[i*5+4] = ':'
+		}
 	}
-	for i := 3; i >= 1; i-- {
-		fmt.Fprintf(&sb, "%04x:", (q>>(16*i))&0xffff)
-	}
-	fmt.Fprintf(&sb, "%04x", q&0xffff)
-	return sb.String()
+	return string(b[:])
 }
 
 // NodeType discriminates the kinds of nodes visible to the subnet manager.

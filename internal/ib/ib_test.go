@@ -1,6 +1,9 @@
 package ib
 
 import (
+	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -285,5 +288,41 @@ func TestLFTDirtyMatchesDiffProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestGIDGUIDStringMatchFmt pins the hand-rolled formatters to the fmt
+// forms they replace, over edge values and seeded random ones.
+func TestGIDGUIDStringMatchFmt(t *testing.T) {
+	fmtGUID := func(g GUID) string { return fmt.Sprintf("0x%016x", uint64(g)) }
+	fmtGID := func(g GID) string {
+		var sb strings.Builder
+		p, q := uint64(g.Prefix), uint64(g.GUID)
+		for i := 3; i >= 0; i-- {
+			fmt.Fprintf(&sb, "%04x:", (p>>(16*i))&0xffff)
+		}
+		for i := 3; i >= 1; i-- {
+			fmt.Fprintf(&sb, "%04x:", (q>>(16*i))&0xffff)
+		}
+		fmt.Fprintf(&sb, "%04x", q&0xffff)
+		return sb.String()
+	}
+	vals := []uint64{0, 1, 0xf, 0x10, 0xffff, 0x10000, 0x0002c90300a1beef, 0x8000000000000000, ^uint64(0)}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.Uint64())
+	}
+	for i, v := range vals {
+		g := GUID(v)
+		if got, want := g.String(), fmtGUID(g); got != want {
+			t.Fatalf("GUID(%#x).String() = %q, want %q", v, got, want)
+		}
+		gid := GID{Prefix: GIDPrefix(vals[(i+1)%len(vals)]), GUID: g}
+		if got, want := gid.String(), fmtGID(gid); got != want {
+			t.Fatalf("GID%+v.String() = %q, want %q", gid, got, want)
+		}
+	}
+	if got := MakeGID(DefaultGIDPrefix, 0x0002c90300a1beef).String(); got != "fe80:0000:0000:0000:0002:c903:00a1:beef" {
+		t.Fatalf("default-prefix GID = %q", got)
 	}
 }

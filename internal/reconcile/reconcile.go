@@ -142,7 +142,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 	for _, mv := range moves {
 		vm := p.C.VM(mv.VM)
 		if vm == nil {
-			return nil, fmt.Errorf("reconcile: no VM %q", mv.VM)
+			return nil, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, mv.VM)
 		}
 		ann = append(ann, Move{
 			VM:        mv.VM,
@@ -183,7 +183,7 @@ func (p *Planner) Plan(spec Spec) (*Plan, error) {
 			}
 		}
 		if len(wave) == 0 {
-			return nil, fmt.Errorf("reconcile: placement infeasible: no pending destination has a free VF (%d moves stuck)", len(pending))
+			return nil, fmt.Errorf("reconcile: placement infeasible: no pending destination has a %w (%d moves stuck)", cloud.ErrNoFreeVF, len(pending))
 		}
 		cm := make([]cloud.Move, len(wave))
 		for i, mv := range wave {
@@ -225,7 +225,7 @@ func (p *Planner) desired(spec Spec) ([]cloud.Move, error) {
 // hosts: same-leaf receivers first, then the most loaded host with space.
 func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 	if p.C.Hypervisor(host) == nil {
-		return nil, fmt.Errorf("reconcile: drain target %d is not a hypervisor", host)
+		return nil, fmt.Errorf("reconcile: drain target %d %w", host, cloud.ErrNotHypervisor)
 	}
 	hostLeaf := p.C.SM.Topo.LeafSwitchOf(host)
 	load := map[topology.NodeID]int{}
@@ -257,7 +257,7 @@ func (p *Planner) drainMoves(host topology.NodeID) ([]cloud.Move, error) {
 			}
 		}
 		if recv == topology.NoNode {
-			return nil, fmt.Errorf("reconcile: draining %d is infeasible: no free VF for VM %q", host, name)
+			return nil, fmt.Errorf("reconcile: draining %d is infeasible: no %w for VM %q", host, cloud.ErrNoFreeVF, name)
 		}
 		moves = append(moves, cloud.Move{VM: name, To: recv})
 		free[recv]--
@@ -333,11 +333,11 @@ func (p *Planner) placementMoves(want map[string]topology.NodeID) ([]cloud.Move,
 	for _, name := range names {
 		vm := p.C.VM(name)
 		if vm == nil {
-			return nil, fmt.Errorf("reconcile: no VM %q", name)
+			return nil, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, name)
 		}
 		dst := want[name]
 		if p.C.Hypervisor(dst) == nil {
-			return nil, fmt.Errorf("reconcile: placement of %q: %d is not a hypervisor", name, dst)
+			return nil, fmt.Errorf("reconcile: placement of %q: %d %w", name, dst, cloud.ErrNotHypervisor)
 		}
 		if dst == vm.Hyp {
 			continue

@@ -141,7 +141,7 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 	for _, mv := range wave {
 		st := sh.vm[mv.VM]
 		if st == nil {
-			return StepCost{}, fmt.Errorf("reconcile: no VM %q", mv.VM)
+			return StepCost{}, fmt.Errorf("reconcile: %w %q", cloud.ErrNoVM, mv.VM)
 		}
 		if reserved[mv.To] == nil {
 			reserved[mv.To] = map[int]bool{}
@@ -154,7 +154,7 @@ func (p *Planner) simulateWave(sh *shadow, wave []cloud.Move) (StepCost, error) 
 			}
 		}
 		if dstVF < 0 {
-			return StepCost{}, fmt.Errorf("reconcile: destination %d has no free VF for %q", mv.To, mv.VM)
+			return StepCost{}, fmt.Errorf("reconcile: destination %d has no %w for %q", mv.To, cloud.ErrNoFreeVF, mv.VM)
 		}
 		reserved[mv.To][dstVF] = true
 		var plan *core.MigrationPlan

@@ -142,14 +142,14 @@ func (co *Coordinator) claim(name string, mustExist bool) (int, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if co.busy[name] {
-		return 0, fmt.Errorf("cloud: VM %q is busy (another operation is in flight)", name)
+		return 0, fmt.Errorf("cloud: VM %q %w (another operation is in flight)", name, cloud.ErrBusy)
 	}
 	z, ok := co.vmZone[name]
 	if mustExist && !ok {
-		return 0, fmt.Errorf("cloud: no VM %q", name)
+		return 0, fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name)
 	}
 	if !mustExist && ok {
-		return 0, fmt.Errorf("cloud: VM %q already exists", name)
+		return 0, fmt.Errorf("cloud: VM %q %w", name, cloud.ErrExists)
 	}
 	co.busy[name] = true
 	return z, nil
@@ -185,7 +185,7 @@ func (co *Coordinator) CreateVM(reqID, name string, hyp topology.NodeID) (Create
 	if hyp != topology.NoNode {
 		if z = co.Part.ZoneOfHyp(hyp); z < 0 {
 			co.settle(name, keepZone)
-			return res, fmt.Errorf("cloud: node %d is not a hypervisor", hyp)
+			return res, fmt.Errorf("cloud: node %d %w", hyp, cloud.ErrNotHypervisor)
 		}
 	} else {
 		best := -1
@@ -257,7 +257,7 @@ func (co *Coordinator) MigrateVM(reqID, name string, dst topology.NodeID) (Migra
 	dstZone := co.Part.ZoneOfHyp(dst)
 	if dstZone < 0 {
 		co.settle(name, keepZone)
-		return res, fmt.Errorf("cloud: destination %d is not a hypervisor", dst)
+		return res, fmt.Errorf("cloud: destination %d %w", dst, cloud.ErrNotHypervisor)
 	}
 	if dstZone == srcZone {
 		sh := co.shards[srcZone]
@@ -361,7 +361,7 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 		h := co.C.Hypervisor(dst)
 		vf := dstSh.pickVF(h)
 		if vf < 0 {
-			ch1 <- p1a{err: fmt.Errorf("cloud: destination %d has no free VF", dst)}
+			ch1 <- p1a{err: fmt.Errorf("cloud: destination %d has no %w", dst, cloud.ErrNoFreeVF)}
 			return
 		}
 		dstSh.reserve(dst, vf)
@@ -389,7 +389,7 @@ func (co *Coordinator) migrateCross(reqID, name string, srcZone, dstZone int, ds
 	if err := src.submit(func() {
 		vm := co.C.VM(name)
 		if vm == nil {
-			ch2 <- p1b{err: fmt.Errorf("cloud: no VM %q", name)}
+			ch2 <- p1b{err: fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name)}
 			return
 		}
 		var plan *core.MigrationPlan

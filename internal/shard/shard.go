@@ -258,19 +258,19 @@ func (s *Shard) execCreate(reqID, name string, hyp topology.NodeID) (CreateResul
 	if hyp == topology.NoNode {
 		hyp, vf = s.placeLocal()
 		if hyp == topology.NoNode {
-			err := fmt.Errorf("cloud: zone %d has no free VF", s.id)
+			err := fmt.Errorf("cloud: zone %d has no %w", s.id, cloud.ErrNoFreeVF)
 			s.finish("create_vm", name, reqID, err, nil, nil)
 			return res, err
 		}
 	} else {
 		h := s.co.C.Hypervisor(hyp)
 		if h == nil {
-			err := fmt.Errorf("cloud: node %d is not a hypervisor", hyp)
+			err := fmt.Errorf("cloud: node %d %w", hyp, cloud.ErrNotHypervisor)
 			s.finish("create_vm", name, reqID, err, nil, nil)
 			return res, err
 		}
 		if vf = s.pickVF(h); vf < 0 {
-			err := fmt.Errorf("cloud: hypervisor %d has no free VF", hyp)
+			err := fmt.Errorf("cloud: hypervisor %d has no %w", hyp, cloud.ErrNoFreeVF)
 			s.finish("create_vm", name, reqID, err, nil, nil)
 			return res, err
 		}
@@ -292,7 +292,7 @@ func (s *Shard) execDestroy(reqID, name string) (DestroyResult, error) {
 	var res DestroyResult
 	vm := s.co.C.VM(name)
 	if vm == nil {
-		err := fmt.Errorf("cloud: no VM %q", name)
+		err := fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name)
 		s.finish("destroy_vm", name, reqID, err, nil, nil)
 		return res, err
 	}
@@ -325,18 +325,18 @@ func (s *Shard) execMigrate(reqID, name string, dst topology.NodeID) (MigrateRes
 	}
 	h := s.co.C.Hypervisor(dst)
 	if h == nil {
-		return fail(fmt.Errorf("cloud: destination %d is not a hypervisor", dst))
+		return fail(fmt.Errorf("cloud: destination %d %w", dst, cloud.ErrNotHypervisor))
 	}
 	vm := s.co.C.VM(name)
 	if vm == nil {
-		return fail(fmt.Errorf("cloud: no VM %q", name))
+		return fail(fmt.Errorf("cloud: %w %q", cloud.ErrNoVM, name))
 	}
 	if dst == vm.Hyp {
-		return fail(fmt.Errorf("cloud: VM %q is already on node %d", name, dst))
+		return fail(fmt.Errorf("cloud: VM %q %w %d", name, cloud.ErrSameNode, dst))
 	}
 	dstVF := s.pickVF(h)
 	if dstVF < 0 {
-		return fail(fmt.Errorf("cloud: destination %d has no free VF", dst))
+		return fail(fmt.Errorf("cloud: destination %d has no %w", dst, cloud.ErrNoFreeVF))
 	}
 	vmLID, destLID := vm.Addr.LID, h.HCA.VFs[dstVF].LID
 	rep, err := s.co.C.MigrateVMVFShard(name, dst, dstVF, s.id)

@@ -125,7 +125,10 @@ func (s *SubnetManager) AdoptFabricState(prev *SubnetManager) (AdoptStats, error
 		if err := s.pool.Reserve(lid); err != nil {
 			return st, fmt.Errorf("sm: adopting LID %d: %w", lid, err)
 		}
+		s.addrMu.Lock()
 		s.nodeOf[lid] = node
+		s.markAddrLocked(lid)
+		s.addrMu.Unlock()
 	}
 	// Extra LIDs (VM/VF LIDs) are management state replicated out of band
 	// (the OpenStack database in the paper's emulation).

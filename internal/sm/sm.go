@@ -75,6 +75,11 @@ type SubnetManager struct {
 	// AssignLIDs/Sweep complete and are read without it; sweeps and full
 	// reconfigurations only run with the control plane quiesced.
 	addrMu sync.Mutex
+	// addrDirty lists, once each, the LIDs whose owner changed since the
+	// last DrainAddressChanges (addrSeen dedupes): every write to nodeOf,
+	// lidOf or extra marks its LID. Guarded by addrMu.
+	addrDirty []ib.LID
+	addrSeen  []uint64
 	// lftMu stripes per-switch locks over SetLFTEntries so concurrent
 	// actors updating different LID columns of one switch serialize their
 	// clone→send→commit cycles instead of losing each other's entries.
@@ -320,9 +325,12 @@ func (s *SubnetManager) AssignLIDs() error {
 			return err
 		}
 		s.lidOf[id] = base
+		s.addrMu.Lock()
 		for l := base; l < base+(ib.LID(1)<<lmc); l++ {
 			s.nodeOf[l] = id
+			s.markAddrLocked(l)
 		}
+		s.addrMu.Unlock()
 		p := &smp.SMP{Attr: smp.AttrPortInfo, IsSet: true, Path: append([]ib.PortNum(nil), s.dirPath[id]...)}
 		if _, err := s.Transport.SendDirected(s.SMNode, p); err != nil {
 			return err
@@ -405,6 +413,7 @@ func (s *SubnetManager) AllocExtraLID(node topology.NodeID) (ib.LID, error) {
 		return 0, err
 	}
 	s.extra[lid] = node
+	s.markAddrLocked(lid)
 	return lid, nil
 }
 
@@ -420,6 +429,7 @@ func (s *SubnetManager) ReserveExtraLID(lid ib.LID, node topology.NodeID) error 
 		return err
 	}
 	s.extra[lid] = node
+	s.markAddrLocked(lid)
 	return nil
 }
 
@@ -432,6 +442,7 @@ func (s *SubnetManager) ReleaseExtraLID(lid ib.LID) {
 	}
 	delete(s.extra, lid)
 	s.pool.Release(lid)
+	s.markAddrLocked(lid)
 }
 
 // RebindExtraLID points an existing extra LID at a different node (the LID
@@ -446,7 +457,36 @@ func (s *SubnetManager) RebindExtraLID(lid ib.LID, node topology.NodeID) error {
 		return fmt.Errorf("sm: LID %d is not an extra LID", lid)
 	}
 	s.extra[lid] = node
+	s.markAddrLocked(lid)
 	return nil
+}
+
+// markAddrLocked records that lid's owner changed. Called with addrMu held.
+func (s *SubnetManager) markAddrLocked(lid ib.LID) {
+	w, bit := int(lid)>>6, uint64(1)<<(lid&63)
+	if w >= len(s.addrSeen) {
+		s.addrSeen = append(s.addrSeen, make([]uint64, w+1-len(s.addrSeen))...)
+	}
+	if s.addrSeen[w]&bit == 0 {
+		s.addrSeen[w] |= bit
+		s.addrDirty = append(s.addrDirty, lid)
+	}
+}
+
+// DrainAddressChanges returns the LIDs whose owner changed since the
+// previous call — assigned, adopted, allocated, released or rebound, base
+// or extra — and forgets them. The control plane patches exactly these
+// into its next published snapshot, so address changes made outside its
+// commands (a harness resweep, an SM handover) are not missed.
+func (s *SubnetManager) DrainAddressChanges() []ib.LID {
+	s.addrMu.Lock()
+	defer s.addrMu.Unlock()
+	out := s.addrDirty
+	for _, l := range out {
+		s.addrSeen[l>>6] &^= uint64(1) << (l & 63)
+	}
+	s.addrDirty = nil
+	return out
 }
 
 // ExtraLIDsOf lists the extra LIDs currently bound to a node, ascending.

@@ -402,3 +402,39 @@ func TestTableISMPArithmetic(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainAddressChanges checks every address-map write marks its LID
+// once until drained: bootstrap assignment, allocation, reservation,
+// rebinding and release.
+func TestDrainAddressChanges(t *testing.T) {
+	topo := smallFT(t)
+	s := newSM(t, topo, routing.NewMinHop())
+	if _, _, _, err := s.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(s.DrainAddressChanges()), s.LIDCount(); got != want {
+		t.Fatalf("bootstrap marked %d LIDs, want all %d assigned", got, want)
+	}
+	if got := s.DrainAddressChanges(); len(got) != 0 {
+		t.Fatalf("second drain returned %v, want nothing", got)
+	}
+	hyp, dst := topo.CAs()[3], topo.CAs()[7]
+	lid, err := s.AllocExtraLID(hyp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RebindExtraLID(lid, dst); err != nil { // same LID: marked once
+		t.Fatal(err)
+	}
+	if err := s.ReserveExtraLID(100, hyp); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.DrainAddressChanges(); len(got) != 2 || got[0] != lid || got[1] != 100 {
+		t.Fatalf("drain = %v, want [%d 100]", got, lid)
+	}
+	s.ReleaseExtraLID(100)
+	s.ReleaseExtraLID(100) // not bound any more: no change, no mark
+	if got := s.DrainAddressChanges(); len(got) != 1 || got[0] != 100 {
+		t.Fatalf("drain after release = %v, want [100]", got)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"time"
 )
@@ -41,7 +42,7 @@ type chromeTrace struct {
 // events on the wall timeline (events carry no modelled time, so they are
 // only exported in wall mode).
 func (t *Tracer) WriteChromeTrace(w io.Writer, opts Options) error {
-	spans := t.snapshot()
+	spans := t.window(1, math.MaxInt).all()
 
 	type rec struct {
 		id, parent int
@@ -54,20 +55,12 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, opts Options) error {
 	recs := make([]rec, 0, len(spans))
 	index := map[int]int{} // span ID -> recs index
 	children := map[int][]int{}
-	for _, sp := range spans {
-		sp.mu.Lock()
+	for _, d := range spans {
 		r := rec{
-			id: sp.id, parent: sp.parent,
-			kind: string(sp.kind), name: sp.name,
-			modelled: sp.modelled, wall: sp.wall, started: sp.started,
+			id: d.id, parent: d.parent,
+			kind: string(d.kind), name: d.name, attrs: d.attrs,
+			modelled: d.modelled, wall: d.wall, started: d.started,
 		}
-		if len(sp.attrs) > 0 {
-			r.attrs = make(map[string]any, len(sp.attrs))
-			for k, v := range sp.attrs {
-				r.attrs[k] = v
-			}
-		}
-		sp.mu.Unlock()
 		index[r.id] = len(recs)
 		recs = append(recs, r)
 		children[r.parent] = append(children[r.parent], r.id)

@@ -222,7 +222,7 @@ func TestConcurrentUse(t *testing.T) {
 	if r.Counter("c").Value() != 1600 {
 		t.Errorf("counter = %d, want 1600", r.Counter("c").Value())
 	}
-	if got := len(tr.snapshot()); got != 1600 {
+	if got := len(tr.SpansSince(0)); got != 1600 {
 		t.Errorf("spans = %d, want 1600", got)
 	}
 	var sb strings.Builder
